@@ -351,8 +351,10 @@ def _cmd_verify(args) -> int:
     for index, state in enumerate(random_mixed(config)):
         dense = oracle.embed_dense(state, budget=args.budget)
         for cut in cuts:
+            spectrum = oracle.hermitian_spectrum(
+                oracle.partial_transpose(dense, cut.right))
             closed = closed_form.negativity_cut(state, cut) + corrupt
-            brute = oracle.negativity_dense(dense, cut)
+            brute = oracle.negativity_from_spectrum(spectrum)
             delta = abs(closed - brute)
             max_delta = max(max_delta, delta)
             if delta > ORACLE_DELTA_TOL:
@@ -360,8 +362,6 @@ def _cmd_verify(args) -> int:
                     "index": index, "seed": args.seed, "check": "negativity",
                     "cut": _cut_key(cut), "delta": delta})
             ppt_closed = closed_form.is_ppt_cut(state, cut)
-            spectrum = oracle.hermitian_spectrum(
-                oracle.partial_transpose(dense, cut.right))
             ppt_dense = bool(spectrum[0] >= -RESIDUAL_TOL)
             if ppt_closed != ppt_dense:
                 violations.append({

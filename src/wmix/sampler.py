@@ -14,6 +14,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import DegenerateInputError
 from .states import PureGeneralizedW, SystemShape, WMixedState
 
 KINDS = ("mixed_ginibre", "pure_sphere", "structured_zero_row")
@@ -75,7 +76,8 @@ def random_mixed(config: SampleConfig) -> Iterator[WMixedState]:
             coeff[block, :] = 0.0
             coeff[:, block] = 0.0
             remaining = float(coeff.trace().real)
-            assert remaining > 1e-9, "zeroed block swallowed all the mass"
+            if not remaining > 1e-9:
+                raise DegenerateInputError("zeroed block swallowed all the mass")
             coeff = coeff / remaining
         yield WMixedState(shape, 0.0, coeff)
 
@@ -90,7 +92,8 @@ def random_pure(config: SampleConfig) -> Iterator[PureGeneralizedW]:
         rng = generator_for(config.seed, index)
         z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
         norm = float(np.linalg.norm(z))
-        assert norm > 1e-6, "degenerate draw from the complex normal"
+        if not norm > 1e-6:
+            raise DegenerateInputError("degenerate draw from the complex normal")
         yield PureGeneralizedW(shape, z / norm)
 
 

@@ -228,6 +228,30 @@ class TestVerify:
         assert summary["violations"]
         assert summary["violations"][0]["index"] == 0
 
+    @pytest.mark.parametrize("corrupt", [False, True])
+    def test_one_partial_transpose_per_cut(self, capsys, monkeypatch, corrupt):
+        real = wmix.oracle.partial_transpose
+        calls = []
+
+        def counting(op, parties):
+            calls.append(parties)
+            return real(op, parties)
+
+        monkeypatch.setattr(wmix.oracle, "partial_transpose", counting)
+        argv = ["verify", "--n", "4", "--count", "2"]
+        code, out, _ = run_cli(
+            capsys, *argv, *(["--self-test-corrupt"] if corrupt else []))
+        assert len(calls) == 2 * 7
+        assert code == (1 if corrupt else 0)
+        assert json.loads(out)["ok"] is not corrupt
+
+    def test_eight_parties(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "8", "--count", "3")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["ok"] is True
+        assert summary["max_abs_delta"] <= 1e-9
+
     def test_capacity_exit(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--n", "13", "--count", "1")
         assert code == 3 and "error" in err

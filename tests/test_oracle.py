@@ -17,9 +17,24 @@ from wmix import (
     make_generalized_w,
     make_w_state,
     negativity_dense,
+    partial_trace,
     partial_trace_dense,
     partial_transpose,
 )
+
+
+def _cross_check_state(kind, n, d, seed):
+    if kind == "reduced":
+        # one party traced out of an (n+1)-party state: vacuum weight > 0
+        state = next(iter(wmix.random_mixed(
+            wmix.SampleConfig(n_parties=n + 1, local_dim=d, seed=seed))))
+        return partial_trace(state, {1 + seed % (n + 1)})
+    if kind == "pure":
+        return as_mixed_state(next(iter(wmix.random_pure(
+            wmix.SampleConfig(n_parties=n, local_dim=d, seed=seed,
+                              kind="pure_sphere")))))
+    return next(iter(wmix.random_mixed(
+        wmix.SampleConfig(n_parties=n, local_dim=d, seed=seed, kind=kind))))
 
 
 class TestPartialTranspose:
@@ -79,6 +94,33 @@ class TestHermitianSpectrum:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
         with pytest.raises(ContractViolationError):
             hermitian_spectrum(bad)
+
+    def test_non_finite_rejected(self):
+        bad = np.eye(4, dtype=complex) / 4
+        bad[1, 2] = np.nan
+        with pytest.raises(ContractViolationError):
+            hermitian_spectrum(bad)
+
+    def test_full_support_operator(self):
+        op = wmix.DenseOperator(SystemShape(3), np.eye(8) / 8)
+        assert np.array_equal(op.support, np.arange(8))
+        np.testing.assert_allclose(
+            hermitian_spectrum(op), np.full(8, 1 / 8), atol=1e-14)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+           d=st.sampled_from([2, 3]),
+           kind=st.sampled_from(
+               ["mixed_ginibre", "structured_zero_row", "reduced", "pure"]),
+           data=st.data())
+    def test_support_spectrum_matches_full_solve(self, seed, n, d, kind, data):
+        right = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
+        state = _cross_check_state(kind, n, d, seed)
+        pt = partial_transpose(embed_dense(state), right)
+        spectrum = hermitian_spectrum(pt)
+        full = np.linalg.eigvalsh(pt.matrix)
+        assert spectrum.shape == full.shape == (d ** n,)
+        assert np.all(np.diff(spectrum) >= 0)
+        assert np.abs(spectrum - full).max() <= 1e-12
 
     def test_spectrum_sums_to_trace_and_residuals_small(self):
         state = next(iter(wmix.random_mixed(
@@ -197,6 +239,27 @@ class TestDenseOperatorInvariants:
         mat[0, 1] = 0.5
         with pytest.raises(wmix.StateInvariantError):
             wmix.DenseOperator(SystemShape(2), mat)
+
+    def test_rejects_one_sided_entry_off_support(self):
+        # rows 2 and 3 are zero except for (2, 3): still not Hermitian
+        mat = np.zeros((4, 4), dtype=complex)
+        mat[0, 0] = 1.0
+        mat[2, 3] = 1e-6
+        with pytest.raises(wmix.StateInvariantError):
+            wmix.DenseOperator(SystemShape(2), mat)
+
+    def test_rejects_non_finite(self):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[1, 2] = np.nan
+        with pytest.raises(wmix.StateInvariantError):
+            wmix.DenseOperator(SystemShape(2), mat)
+
+    def test_support_covers_nonzero_rows_and_columns(self, w3_mixed):
+        dense = embed_dense(w3_mixed)
+        assert list(dense.support) == [1, 2, 4]
+        # party 1 is the leading digit: |100><010| moves to |000><110|,
+        # filling the 1 + N(d-1) + |L||R|(d-1)^2 = 6 kets of the bound
+        assert list(partial_transpose(dense, {1}).support) == [0, 1, 2, 4, 5, 6]
 
     def test_rejects_bad_trace(self):
         with pytest.raises(wmix.StateInvariantError):

@@ -78,6 +78,18 @@ class TestStructuredZeroRow:
         for state in random_mixed(config):
             assert abs(state.coeff.trace().real - 1) <= 1e-12
 
+    def test_all_mass_on_zeroed_party_raises(self, monkeypatch):
+        shape = wmix.SystemShape(2)
+        coeff = np.zeros((2, 2), dtype=complex)
+        coeff[shape.labels_of_parties([1]), shape.labels_of_parties([1])] = 1.0
+        monkeypatch.setattr(wmix.sampler, "_ginibre_coeff",
+                            lambda rng, k: coeff.copy())
+        # some sample of this fixed stream zeroes party 1, which holds all mass
+        config = SampleConfig(n_parties=2, count=32, seed=3,
+                              kind="structured_zero_row")
+        with pytest.raises(wmix.DegenerateInputError):
+            list(random_mixed(config))
+
     def test_qudit_blocks_fully_zeroed(self):
         config = SampleConfig(n_parties=3, local_dim=3, count=10, seed=79,
                               kind="structured_zero_row")
