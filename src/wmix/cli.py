@@ -233,7 +233,9 @@ def _analysis_report(state, mixed: WMixedState, args) -> dict:
         f"{a},{b}": closed_form.pairwise_upper_bound(mixed, a, b) for a, b in pairs
     }
 
-    cuts = enumerate_bipartitions(n) if n <= MAX_ENUMERATED_ANALYZE else []
+    verdict = (closed_form.classify(mixed)
+               if n <= closed_form.MAX_ENUMERATED_PARTIES else None)
+    cuts = list(verdict.per_cut) if n <= MAX_ENUMERATED_ANALYZE else []
     if cuts:
         report["bipartition_negativity"] = {
             _cut_key(cut): closed_form.negativity_cut(mixed, cut) for cut in cuts
@@ -244,8 +246,7 @@ def _analysis_report(state, mixed: WMixedState, args) -> dict:
             _cut_key(cut): closed_form.negativity_cut(mixed, cut)
         }
 
-    if n <= closed_form.MAX_ENUMERATED_PARTIES:
-        verdict = closed_form.classify(mixed)
+    if verdict is not None:
         report["verdicts"] = {
             "fully_separable": verdict.fully_separable,
             "genuine": verdict.genuine,

@@ -12,6 +12,19 @@ which is exactly B when the vacuum weight p0 vanishes. Separability
 across a cut is equivalent to B = 0, an exact structural property of
 the coefficient matrix. None of these routines call an eigensolver;
 the dense oracle module recomputes the same quantities by brute force.
+
+Every negativity, bound and cut verdict here reads the state only
+through its party statistics (``WMixedState.party_mass`` m and
+``party_weight`` W, plus p0); ``is_fully_separable`` alone reads the
+coefficient matrix, because coherences between two levels of one party
+do not enter W off its diagonal. A cut L | R has
+
+    B**2 = sum of W[a, b] over a in L, b in R
+
+summed over the pairs a < b in lexicographic order, the same order for
+one cut and for all cuts at once, so ``classify`` and ``is_ppt_cut``
+agree bit for bit. A party pair (a, b) sees the spectator mass
+s = p0 + sum(m) - m[a] - m[b] and the block weight W[a, b].
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ShapeError
-from .partitions import Bipartition, enumerate_bipartitions
+from .partitions import Bipartition, enumerate_bipartitions, left_side_masks
 from .states import PureGeneralizedW, WMixedState
 
 SEPARABILITY_TOL = 1e-12
@@ -59,11 +72,19 @@ def _check_cut(state: WMixedState, cut: Bipartition) -> None:
 
 
 def cross_block_norm(state: WMixedState, cut: Bipartition) -> float:
-    """Frobenius norm of the coefficient block linking the cut's sides."""
+    """Frobenius norm of the coefficient block linking the cut's sides.
+
+    B = sqrt(sum of W[a, b] over a in L, b in R); a cut and its
+    ``flipped()`` give the same float.
+    """
     _check_cut(state, cut)
-    left = state.shape.labels_of_parties(cut.left)
-    right = state.shape.labels_of_parties(cut.right)
-    return float(np.linalg.norm(state.coeff[np.ix_(left, right)]))
+    n = state.shape.n_parties
+    side = np.zeros(n, dtype=bool)
+    side[np.asarray(cut.left, dtype=np.intp) - 1] = True
+    parties = np.arange(n)
+    crossing = (side[:, None] != side) & (parties[:, None] < parties)
+    # a running sum adds the crossing pairs a < b in the order classify does
+    return math.sqrt(np.cumsum(state.party_weight[crossing])[-1])
 
 
 def pt_block_eigenvalues(state: WMixedState, party: int) -> PtBlockSpectrum:
@@ -72,13 +93,11 @@ def pt_block_eigenvalues(state: WMixedState, party: int) -> PtBlockSpectrum:
     B is the Frobenius norm of the focal party's off-diagonal row block
     (all levels at its position against every other label).
     """
-    state.shape.check_party(party)
     shape = state.shape
-    rows = shape.labels_of_parties([party])
-    others = [p for p in range(1, shape.n_parties + 1) if p != party]
-    cols = shape.labels_of_parties(others)
-    b = float(np.linalg.norm(state.coeff[np.ix_(rows, cols)]))
-    return PtBlockSpectrum(plus=b, minus=-b, zeros=len(rows) * len(cols) - 1)
+    b = cross_block_norm(state, Bipartition.single(party, shape.n_parties))
+    levels = shape.local_dim - 1
+    return PtBlockSpectrum(
+        plus=b, minus=-b, zeros=levels * (shape.n_labels - levels) - 1)
 
 
 def negativity_cut(state: WMixedState, cut: Bipartition) -> float:
@@ -87,42 +106,42 @@ def negativity_cut(state: WMixedState, cut: Bipartition) -> float:
     Evaluates (sqrt(p0**2 + 4 B**2) - p0) / 2 with B the cross-block
     Frobenius norm; reduces to B for vanishing vacuum weight.
     """
-    b = cross_block_norm(state, cut)
-    p0 = state.vacuum_weight
-    return 0.5 * (math.hypot(p0, 2.0 * b) - p0)
+    return negativity_from_block(state.vacuum_weight, cross_block_norm(state, cut))
 
 
-def _pair_blocks(state: WMixedState, party_a: int, party_b: int):
+def negativity_from_block(spectator: float, block_norm: float) -> float:
+    """(sqrt(s**2 + 4 B**2) - s) / 2 for spectator mass s and block norm B."""
+    return 0.5 * (math.hypot(spectator, 2.0 * block_norm) - spectator)
+
+
+def _pair_index(state: WMixedState, party_a: int, party_b: int) -> tuple[int, int]:
+    """Zero-based indices of two distinct, in-range parties."""
     if party_a == party_b:
         raise ValueError(f"parties must be distinct, got {party_a} twice")
-    state.shape.check_party(party_a)
-    state.shape.check_party(party_b)
-    labels_a = state.shape.labels_of_parties([party_a])
-    labels_b = state.shape.labels_of_parties([party_b])
-    return labels_a, labels_b
+    return state.shape.check_party(party_a) - 1, state.shape.check_party(party_b) - 1
 
 
 def pairwise_negativity(state: WMixedState, party_a: int, party_b: int) -> float:
-    """Negativity of the two-party reduced state, straight from coeff.
+    """Negativity of the two-party reduced state, straight from the statistics.
 
-    Uses s = vacuum weight plus all diagonal mass outside the two focal
-    parties, and the focal off-diagonal block; equals the negativity of
-    the explicitly reduced state, computed without reducing.
+    Uses s = p0 + sum(m) - m[a] - m[b], the vacuum weight plus all
+    diagonal mass outside the two focal parties, and B**2 = W[a, b];
+    equals the negativity of the explicitly reduced state, computed
+    without reducing.
     """
-    labels_a, labels_b = _pair_blocks(state, party_a, party_b)
-    diag = state.coeff.diagonal().real
-    s = state.vacuum_weight + float(diag.sum() - diag[labels_a].sum() - diag[labels_b].sum())
-    b = float(np.linalg.norm(state.coeff[np.ix_(labels_a, labels_b)]))
-    return 0.5 * (math.hypot(s, 2.0 * b) - s)
+    a, b = _pair_index(state, party_a, party_b)
+    mass = state.party_mass
+    s = state.vacuum_weight + float(mass.sum() - mass[a] - mass[b])
+    return negativity_from_block(s, math.sqrt(state.party_weight[a, b]))
 
 
 def pairwise_upper_bound(state: WMixedState, party_a: int, party_b: int) -> float:
-    """The focal block norm itself, an upper bound on pairwise negativity.
+    """The focal block norm sqrt(W[a, b]), an upper bound on pairwise negativity.
 
     Equality holds iff the spectator mass s vanishes or the block does.
     """
-    labels_a, labels_b = _pair_blocks(state, party_a, party_b)
-    return float(np.linalg.norm(state.coeff[np.ix_(labels_a, labels_b)]))
+    a, b = _pair_index(state, party_a, party_b)
+    return math.sqrt(state.party_weight[a, b])
 
 
 def is_ppt_cut(state: WMixedState, cut: Bipartition) -> bool:
@@ -144,19 +163,32 @@ def is_fully_separable(state: WMixedState) -> bool:
 def classify(state: WMixedState) -> SeparabilityVerdict:
     """Evaluate separability on every bipartition (N <= 16).
 
-    ``genuine`` means no cut is separable; ``fully_separable`` is the
-    diagonal test.
+    Each cut is separable iff B <= 1e-12, exactly as ``is_ppt_cut``
+    decides it; all 2**(N-1) - 1 values of B**2 come from W in one pass
+    over the party pairs. ``genuine`` means no cut is separable;
+    ``fully_separable`` is the diagonal test.
     """
     n = state.shape.n_parties
     if n > MAX_ENUMERATED_PARTIES:
         raise CapacityError(
             f"exhaustive cut enumeration capped at {MAX_ENUMERATED_PARTIES} parties;"
             f" got {n} (pass explicit cuts instead)")
-    per_cut = {cut: is_separable_cut(state, cut) for cut in enumerate_bipartitions(n)}
+    masks = left_side_masks(n)
+    # sides[a] marks the cuts whose left side holds party a + 1
+    sides = [((masks >> (n - 1 - a)) & 1).astype(bool) for a in range(n)]
+    squared = np.zeros(len(masks))
+    weight = state.party_weight
+    for a in range(n):
+        for b in range(a + 1, n):
+            if weight[a, b]:
+                np.add(squared, weight[a, b], out=squared,
+                       where=sides[a] != sides[b])
+    separable = np.sqrt(squared) <= SEPARABILITY_TOL
+    per_cut = dict(zip(enumerate_bipartitions(n), separable.tolist()))
     return SeparabilityVerdict(
         per_cut=per_cut,
         fully_separable=is_fully_separable(state),
-        genuine=not any(per_cut.values()),
+        genuine=not separable.any(),
     )
 
 

@@ -10,11 +10,17 @@ coefficient matrix: some cut of the state is separable outright.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .closed_form import is_separable_cut, negativity_cut, pairwise_negativity
+from .closed_form import (
+    is_separable_cut,
+    negativity_cut,
+    negativity_from_block,
+    pairwise_negativity,
+)
 from .errors import ContractViolationError, PartitionError, ShapeError
 from .oracle import (
     concurrence_pure,
@@ -23,7 +29,7 @@ from .oracle import (
     partial_trace_dense,
 )
 from .partitions import Bipartition
-from .states import PureGeneralizedW, WMixedState, partial_trace
+from .states import PureGeneralizedW, WMixedState
 
 EQUALITY_TOL = 1e-10
 
@@ -94,10 +100,17 @@ def monogamy_single(state: WMixedState, focus: int) -> MonogamyReport:
 def monogamy_partition(state: WMixedState, partition) -> MonogamyReport:
     """Grouped focus: Eq-style terms over an ordered partition P_1..P_s.
 
-    Each term reduces the state to P_1 union P_k first, then takes the
-    negativity across P_1 | P_k; the right-hand side cuts P_1 against
-    everything else. Needs at least three disjoint blocks covering all
-    parties.
+    Each term is the squared negativity across P_1 | P_k of the state
+    reduced to P_1 union P_k (Ou & Fan, PRA 75, 062308 (2007)); the
+    right-hand side cuts P_1 against everything else. Reducing moves the
+    traced diagonal mass into the vacuum and keeps the P_1 x P_k block,
+    so the term comes from the party statistics without reducing:
+
+        s = p0 + sum of m over parties outside P_1 union P_k
+        B**2 = sum of W[a, b] over a in P_1, b in P_k
+        term = ((sqrt(s**2 + 4 B**2) - s) / 2) ** 2
+
+    Needs at least three disjoint blocks covering all parties.
     """
     n = state.shape.n_parties
     blocks = [tuple(sorted(set(int(p) for p in block))) for block in partition]
@@ -115,15 +128,15 @@ def monogamy_partition(state: WMixedState, partition) -> MonogamyReport:
         raise PartitionError(f"partition does not cover parties 1..{n}")
 
     focus = blocks[0]
+    focus_idx = np.asarray(focus) - 1
     terms = []
     for partner in blocks[1:]:
-        survivors = sorted(set(focus) | set(partner))
-        traced = [p for p in range(1, n + 1) if p not in survivors]
-        reduced = partial_trace(state, traced)
-        new_index = {party: i + 1 for i, party in enumerate(survivors)}
-        cut = Bipartition.from_left(
-            [new_index[p] for p in focus], len(survivors))
-        terms.append((partner, negativity_cut(reduced, cut) ** 2))
+        partner_idx = np.asarray(partner) - 1
+        outside = np.ones(n, dtype=bool)
+        outside[focus_idx] = outside[partner_idx] = False
+        s = state.vacuum_weight + float(state.party_mass[outside].sum())
+        b = math.sqrt(state.party_weight[np.ix_(focus_idx, partner_idx)].sum())
+        terms.append((partner, negativity_from_block(s, b) ** 2))
     rhs = negativity_cut(state, Bipartition.from_left(focus, n)) ** 2
     return _build_report(state, focus, tuple(terms), rhs)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+import numpy as np
+
 from .errors import PartitionError
 
 
@@ -26,16 +28,17 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(set(self.left)))
-        right = tuple(sorted(set(self.right)))
+        left_set, right_set = set(self.left), set(self.right)
+        left = tuple(sorted(left_set))
+        right = tuple(sorted(right_set))
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         if not left or not right:
             raise PartitionError("both sides of a cut must be nonempty")
         n = len(left) + len(right)
-        if set(left) & set(right):
+        if left_set & right_set:
             raise PartitionError(f"cut sides overlap: {left} | {right}")
-        if set(left) | set(right) != set(range(1, n + 1)):
+        if left_set | right_set != set(range(1, n + 1)):
             raise PartitionError(
                 f"cut {left} | {right} does not cover parties 1..{n}")
 
@@ -85,10 +88,27 @@ def enumerate_bipartitions(n_parties: int) -> list[Bipartition]:
         return []
     cuts = []
     others = range(2, n_parties + 1)
+    rest = frozenset(others)
     for size in range(0, n_parties - 1):
         for extra in combinations(others, size):
-            cuts.append(Bipartition.from_left((1,) + extra, n_parties))
+            right = tuple(sorted(rest.difference(extra)))
+            cuts.append(Bipartition((1,) + extra, right))
     return cuts
+
+
+def left_side_masks(n_parties: int) -> np.ndarray:
+    """Left sides of ``enumerate_bipartitions(n_parties)`` as bitmasks, same order.
+
+    Party p is bit n_parties - p, so party 1 is the top bit and every
+    mask holds it. Among left sides of one size, lexicographic order of
+    the sorted parties is descending numeric order of these masks: the
+    first party where two sides differ is the highest differing bit.
+    """
+    if n_parties < 2:
+        return np.zeros(0, dtype=np.int64)
+    masks = np.arange(1 << (n_parties - 1), (1 << n_parties) - 1, dtype=np.int64)
+    sizes = sum((masks >> bit) & 1 for bit in range(n_parties))
+    return masks[np.lexsort((-masks, sizes))]
 
 
 def parse_cut(text: str, n_parties: int) -> Bipartition:

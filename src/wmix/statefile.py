@@ -125,8 +125,11 @@ def dict_to_state(data):
     _require(isinstance(data, dict), "top level must be a JSON object")
     kind = data.get("kind")
     _require(kind in ("w_mixed", "w_pure"), f"unknown kind {kind!r}")
-    _require(isinstance(data.get("n"), int), "field 'n' must be an integer")
-    _require(isinstance(data.get("d"), int), "field 'd' must be an integer")
+    for name in ("n", "d"):
+        value = data.get(name)
+        # bool is an int subclass; a JSON true must not read as 1
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"field {name!r} must be an integer")
     shape = SystemShape(data["n"], data["d"])
     k = shape.n_labels
 

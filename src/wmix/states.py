@@ -18,7 +18,7 @@ that single bijection drives all index arithmetic in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,6 +148,8 @@ class PureGeneralizedW:
         if amps.shape != (self.shape.n_labels,):
             raise ShapeError(
                 f"expected {self.shape.n_labels} amplitudes, got shape {amps.shape}")
+        if not np.isfinite(amps).all():
+            raise StateInvariantError("amplitudes must be finite")
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
@@ -166,11 +168,26 @@ class WMixedState:
     ``vacuum_weight`` is zero for members of the core family and becomes
     positive only through partial traces, which move diagonal mass onto
     the |0...0><0...0| component.
+
+    Every negativity and cut verdict depends on the state only through
+    three party-level statistics, computed once here: the vacuum weight p0, the diagonal
+    mass m held by each party, and W, the N x N matrix of squared
+    Frobenius norms of the party-pair coefficient blocks. Both arrays are
+    read-only and indexed by party minus one:
+
+        party_mass[a - 1]        = sum of coeff[l, l] over labels l of party a
+        party_weight[a - 1, b - 1] = sum of |coeff[l, l']|**2 over labels
+                                     l of party a and l' of party b
+
+    ``party_weight`` is bitwise symmetric, so any sum over a cut's L x R
+    block is independent of which side is called left.
     """
 
     shape: SystemShape
     vacuum_weight: float
     coeff: np.ndarray
+    party_mass: np.ndarray = field(init=False, repr=False)
+    party_weight: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.shape.n_labels
@@ -179,6 +196,9 @@ class WMixedState:
             raise ShapeError(
                 f"expected a {k}x{k} coefficient matrix, got shape {coeff.shape}")
         p0 = float(self.vacuum_weight)
+        if not (math.isfinite(p0) and np.isfinite(coeff).all()):
+            raise StateInvariantError(
+                "vacuum weight and coefficient matrix must be finite")
         if p0 < 0.0:
             raise StateInvariantError(f"vacuum weight must be >= 0, got {p0!r}")
         if float(np.abs(coeff - coeff.conj().T).max()) > 1e-12:
@@ -198,9 +218,31 @@ class WMixedState:
         coeff.setflags(write=False)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "vacuum_weight", p0)
+        mass, weight = _party_statistics(self.shape, coeff)
+        object.__setattr__(self, "party_mass", mass)
+        object.__setattr__(self, "party_weight", weight)
 
     def diagonal(self) -> np.ndarray:
         return self.coeff.diagonal().real.copy()
+
+
+def _party_statistics(shape: SystemShape, coeff: np.ndarray):
+    """Per-party diagonal mass m and party-pair block weights W of ``coeff``.
+
+    Labels are position-major, so each position's labels form one
+    contiguous run and two ``reduceat`` passes sum every block. Position
+    order is reversed party order. W is built from its upper triangle and
+    mirrored, which makes it bitwise symmetric.
+    """
+    starts = np.arange(0, shape.n_labels, shape.local_dim - 1)
+    squared = coeff.real ** 2 + coeff.imag ** 2
+    blocks = np.add.reduceat(
+        np.add.reduceat(squared, starts, axis=0), starts, axis=1)[::-1, ::-1]
+    mass = np.add.reduceat(coeff.diagonal().real, starts)[::-1].copy()
+    weight = np.triu(blocks) + np.triu(blocks, 1).T
+    mass.setflags(write=False)
+    weight.setflags(write=False)
+    return mass, weight
 
 
 def make_w_state(n: int) -> PureGeneralizedW:

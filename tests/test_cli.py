@@ -194,6 +194,14 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 2 and "error" in err
 
+    def test_nan_vacuum_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "kind": "w_mixed", "n": 2, "d": 2, "vacuum": float("nan"),
+            "coeff_re": [[0.5, 0], [0, 0.5]], "coeff_im": [[0, 0], [0, 0]]}))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == "" and "must be finite" in err
+
     def test_oracle_capacity(self, capsys, tmp_path):
         path = tmp_path / "w13.json"
         wmix.save_state(wmix.as_mixed_state(wmix.make_w_state(13)), path)

@@ -211,6 +211,65 @@ class TestSeparability:
                 assert is_ppt_cut(state, cut) == oracle_ppt
 
 
+def _block_state(n, blocks, seed):
+    """Block-diagonal Ginibre state: coherences only inside each party block."""
+    rng = np.random.default_rng(seed)
+    shape = SystemShape(n, 2)
+    coeff = np.zeros((n, n), dtype=complex)
+    for block in blocks:
+        labels = shape.labels_of_parties(block)
+        g = (rng.standard_normal((len(labels),) * 2)
+             + 1j * rng.standard_normal((len(labels),) * 2))
+        coeff[np.ix_(labels, labels)] = g @ g.conj().T
+    coeff = (coeff + coeff.conj().T) / 2.0
+    return wmix.WMixedState(shape, 0.0, coeff / float(coeff.trace().real))
+
+
+class TestCutEnumeration:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_order_matches_from_left(self, n):
+        from itertools import combinations
+        expected = [
+            Bipartition.from_left((1,) + extra, n)
+            for size in range(n - 1)
+            for extra in combinations(range(2, n + 1), size)]
+        cuts = enumerate_bipartitions(n)
+        assert ([(c.left, c.right) for c in cuts]
+                == [(c.left, c.right) for c in expected])
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_classify_matches_per_cut_norms(self, n):
+        rng = np.random.default_rng(n)
+        states = [next(iter(wmix.random_mixed(wmix.SampleConfig(
+            n_parties=n, count=1, seed=n, kind=kind))))
+            for kind in ("mixed_ginibre", "structured_zero_row")]
+        block_cases = []
+        for n_blocks in (2, 3):
+            if n_blocks > n:
+                continue
+            owner = np.concatenate(
+                [np.arange(n_blocks), rng.integers(0, n_blocks, n - n_blocks)])
+            rng.shuffle(owner)
+            blocks = [tuple(int(p) + 1 for p in np.flatnonzero(owner == b))
+                      for b in range(n_blocks)]
+            block_cases.append((_block_state(n, blocks, seed=n), blocks))
+        states += [state for state, _ in block_cases]
+        cuts = enumerate_bipartitions(n)
+        for state in states:
+            verdict = classify(state)
+            assert ([(c.left, c.right) for c in verdict.per_cut]
+                    == [(c.left, c.right) for c in cuts])
+            assert verdict.per_cut == {
+                cut: wmix.cross_block_norm(state, cut) <= 1e-12 for cut in cuts}
+            assert verdict.genuine == (not any(verdict.per_cut.values()))
+        for state, blocks in block_cases:
+            unions = {cut for cut in cuts if all(
+                set(block) <= set(cut.left) or not set(block) & set(cut.left)
+                for block in blocks)}
+            separable = {cut for cut, sep in classify(state).per_cut.items() if sep}
+            assert separable == unions
+
+
 class TestClassify:
     def test_w3_genuine(self, w3_mixed):
         verdict = classify(w3_mixed)

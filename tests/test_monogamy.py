@@ -140,6 +140,32 @@ class TestMonogamyPartition:
                 assert monogamy_partition(state, partition).residual >= -1e-10
 
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("kind", ["mixed_ginibre", "reduced", "pure"])
+    def test_terms_equal_reduced_then_cut(self, n, kind, family_state):
+        rng = np.random.default_rng(61 + n)
+        for d in (2, 3):
+            state = family_state(kind, n, d, seed=n + 10 * d)
+            assert (state.vacuum_weight > 0) == (kind == "reduced")
+            for _ in range(4):
+                n_blocks = int(rng.integers(3, n + 1))
+                owner = np.concatenate([
+                    np.arange(n_blocks), rng.integers(0, n_blocks, n - n_blocks)])
+                rng.shuffle(owner)
+                partition = [tuple(int(p) + 1 for p in np.flatnonzero(owner == b))
+                             for b in range(n_blocks)]
+                focus = partition[0]
+                report = monogamy_partition(state, partition)
+                for partner, value in report.terms:
+                    survivors = sorted(focus + partner)
+                    outside = [p for p in range(1, n + 1) if p not in survivors]
+                    reduced = wmix.partial_trace(state, outside)
+                    cut = Bipartition.from_left(
+                        [survivors.index(p) + 1 for p in focus], len(survivors))
+                    expected = wmix.negativity_cut(reduced, cut) ** 2
+                    assert abs(value - expected) <= 1e-14
+
+
 class TestEqualityDiagnosis:
     def test_requires_equality_flag(self, w3_mixed):
         report = monogamy_single(w3_mixed, 1)

@@ -17,24 +17,9 @@ from wmix import (
     make_generalized_w,
     make_w_state,
     negativity_dense,
-    partial_trace,
     partial_trace_dense,
     partial_transpose,
 )
-
-
-def _cross_check_state(kind, n, d, seed):
-    if kind == "reduced":
-        # one party traced out of an (n+1)-party state: vacuum weight > 0
-        state = next(iter(wmix.random_mixed(
-            wmix.SampleConfig(n_parties=n + 1, local_dim=d, seed=seed))))
-        return partial_trace(state, {1 + seed % (n + 1)})
-    if kind == "pure":
-        return as_mixed_state(next(iter(wmix.random_pure(
-            wmix.SampleConfig(n_parties=n, local_dim=d, seed=seed,
-                              kind="pure_sphere")))))
-    return next(iter(wmix.random_mixed(
-        wmix.SampleConfig(n_parties=n, local_dim=d, seed=seed, kind=kind))))
 
 
 class TestPartialTranspose:
@@ -112,9 +97,10 @@ class TestHermitianSpectrum:
            kind=st.sampled_from(
                ["mixed_ginibre", "structured_zero_row", "reduced", "pure"]),
            data=st.data())
-    def test_support_spectrum_matches_full_solve(self, seed, n, d, kind, data):
+    def test_support_spectrum_matches_full_solve(
+            self, seed, n, d, kind, data, family_state):
         right = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1))
-        state = _cross_check_state(kind, n, d, seed)
+        state = family_state(kind, n, d, seed)
         pt = partial_transpose(embed_dense(state), right)
         spectrum = hermitian_spectrum(pt)
         full = np.linalg.eigvalsh(pt.matrix)

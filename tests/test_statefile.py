@@ -114,3 +114,20 @@ class TestMalformedFiles:
         pure = wmix.make_w_state(3)
         assert list(json.loads(dumps_state(pure))) == [
             "kind", "n", "d", "amp_re", "amp_im"]
+
+    @pytest.mark.parametrize("field", ["n", "d"])
+    def test_boolean_size_rejected(self, field):
+        # with n = true the payload fits a one-party register exactly
+        data = {"kind": "w_mixed", "n": 1, "d": 2, "vacuum": 0.0,
+                "coeff_re": [[1.0]], "coeff_im": [[0.0]]}
+        loads_state(json.dumps(data))
+        data[field] = True
+        with pytest.raises(ValueError, match="bad state file"):
+            loads_state(json.dumps(data))
+
+    def test_nan_vacuum_rejected(self):
+        text = json.dumps({
+            "kind": "w_mixed", "n": 2, "d": 2, "vacuum": float("nan"),
+            "coeff_re": [[0.5, 0], [0, 0.5]], "coeff_im": [[0, 0], [0, 0]]})
+        with pytest.raises(wmix.StateInvariantError):
+            loads_state(text)

@@ -238,8 +238,52 @@ class TestInvariants:
         with pytest.raises(wmix.StateInvariantError):
             wmix.WMixedState(SystemShape(2), 0.0, coeff)
 
+    def test_nan_vacuum_rejected(self):
+        coeff = np.diag(np.array([0.2, 0.3, 0.5], dtype=complex))
+        with pytest.raises(wmix.StateInvariantError):
+            wmix.WMixedState(SystemShape(3), float("nan"), coeff)
+
+    def test_nan_coherence_rejected(self):
+        coeff = np.diag(np.array([0.2, 0.3, 0.5], dtype=complex))
+        coeff[0, 1] = coeff[1, 0] = np.nan
+        with pytest.raises(wmix.StateInvariantError):
+            wmix.WMixedState(SystemShape(3), 0.0, coeff)
+
+    def test_nan_amplitude_rejected(self):
+        with pytest.raises(wmix.StateInvariantError):
+            make_generalized_w([np.nan, 1.0], SystemShape(2))
+
     def test_states_are_immutable(self, w3_mixed, w3):
         with pytest.raises(ValueError):
             w3_mixed.coeff[0, 0] = 9.0
         with pytest.raises(ValueError):
             w3.amplitudes[0] = 9.0
+        with pytest.raises(ValueError):
+            w3_mixed.party_mass[0] = 9.0
+        with pytest.raises(ValueError):
+            w3_mixed.party_weight[0, 1] = 9.0
+
+
+class TestPartyStatistics:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8),
+           d=st.integers(2, 4),
+           kind=st.sampled_from(
+               ["mixed_ginibre", "structured_zero_row", "reduced", "pure"]))
+    def test_statistics_match_coefficient_blocks(
+            self, seed, n, d, kind, family_state):
+        state = family_state(kind, n, d, seed)
+        shape = state.shape
+        weight, mass = state.party_weight, state.party_mass
+        assert weight.shape == (n, n) and mass.shape == (n,)
+        assert np.array_equal(weight, weight.T)
+        diag = state.coeff.diagonal().real
+        for a in range(1, n + 1):
+            rows = shape.labels_of_parties([a])
+            assert abs(mass[a - 1] - diag[rows].sum()) <= 1e-15
+            for b in range(1, n + 1):
+                cols = shape.labels_of_parties([b])
+                block = np.linalg.norm(state.coeff[np.ix_(rows, cols)]) ** 2
+                assert abs(weight[a - 1, b - 1] - block) <= 1e-14
+        for cut in wmix.enumerate_bipartitions(n):
+            assert (wmix.cross_block_norm(state, cut)
+                    == wmix.cross_block_norm(state, cut.flipped()))
