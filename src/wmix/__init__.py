@@ -51,7 +51,13 @@ from .oracle import (
     partial_trace_dense,
     partial_transpose,
 )
-from .partitions import Bipartition, enumerate_bipartitions, parse_cut, parse_partition
+from .partitions import (
+    Bipartition,
+    cut_labels,
+    enumerate_bipartitions,
+    parse_cut,
+    parse_partition,
+)
 from .sampler import SampleConfig, random_mixed, random_pure, zeroed_parties
 from .slocc import LocalFilter, apply_and_verify, build_filters, uniform_state
 from .statefile import (
@@ -106,6 +112,7 @@ __all__ = [
     "concurrence_pure",
     "concurrence_two_qubit",
     "cross_block_norm",
+    "cut_labels",
     "dense_vector",
     "dumps_canonical",
     "dumps_state",

@@ -10,13 +10,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import closed_form, monogamy, oracle
 from .errors import CapacityError, ContractViolationError, WmixError
-from .partitions import Bipartition, enumerate_bipartitions, parse_cut, parse_partition
+from .partitions import (
+    Bipartition,
+    cut_labels,
+    enumerate_bipartitions,
+    parse_cut,
+    parse_partition,
+)
 from .sampler import SampleConfig, random_mixed
 from .statefile import (
     dumps_canonical,
@@ -235,11 +242,12 @@ def _analysis_report(state, mixed: WMixedState, args) -> dict:
 
     verdict = (closed_form.classify(mixed)
                if n <= closed_form.MAX_ENUMERATED_PARTIES else None)
-    cuts = list(verdict.per_cut) if n <= MAX_ENUMERATED_ANALYZE else []
-    if cuts:
-        report["bipartition_negativity"] = {
-            _cut_key(cut): closed_form.negativity_cut(mixed, cut) for cut in cuts
-        }
+    labels = cut_labels(n) if verdict is not None else []
+    if labels and n <= MAX_ENUMERATED_ANALYZE:
+        p0 = mixed.vacuum_weight
+        report["bipartition_negativity"] = dict(zip(labels, [
+            closed_form.negativity_from_block(p0, math.sqrt(b2))
+            for b2 in verdict.squared_norms.tolist()]))
     if args.cut:
         cut = parse_cut(args.cut, n)
         report["requested_cut_negativity"] = {
@@ -250,10 +258,9 @@ def _analysis_report(state, mixed: WMixedState, args) -> dict:
         report["verdicts"] = {
             "fully_separable": verdict.fully_separable,
             "genuine": verdict.genuine,
-            "per_cut": {
-                _cut_key(cut): ("separable" if sep else "entangled")
-                for cut, sep in verdict.per_cut.items()
-            },
+            "per_cut": dict(zip(labels, [
+                "separable" if sep else "entangled"
+                for sep in verdict.separable.tolist()])),
         }
     else:
         report["verdicts"] = {
@@ -275,8 +282,9 @@ def _analysis_report(state, mixed: WMixedState, args) -> dict:
 
     if args.oracle:
         dense = oracle.embed_dense(mixed, budget=args.budget)
-        check_cuts = cuts if cuts else [
-            Bipartition.single(p, n) for p in range(1, n + 1)]
+        check_cuts = (
+            (enumerate_bipartitions(n) if n <= MAX_ENUMERATED_ANALYZE else [])
+            or [Bipartition.single(p, n) for p in range(1, n + 1)])
         max_delta = 0.0
         for cut in check_cuts:
             delta = abs(closed_form.negativity_cut(mixed, cut)
@@ -354,7 +362,9 @@ def _cmd_verify(args) -> int:
         for cut in cuts:
             spectrum = oracle.hermitian_spectrum(
                 oracle.partial_transpose(dense, cut.right))
-            closed = closed_form.negativity_cut(state, cut) + corrupt
+            block = closed_form.cross_block_norm(state, cut)
+            closed = closed_form.negativity_from_block(
+                state.vacuum_weight, block) + corrupt
             brute = oracle.negativity_from_spectrum(spectrum)
             delta = abs(closed - brute)
             max_delta = max(max_delta, delta)
@@ -362,7 +372,7 @@ def _cmd_verify(args) -> int:
                 violations.append({
                     "index": index, "seed": args.seed, "check": "negativity",
                     "cut": _cut_key(cut), "delta": delta})
-            ppt_closed = closed_form.is_ppt_cut(state, cut)
+            ppt_closed = block <= closed_form.SEPARABILITY_TOL
             ppt_dense = bool(spectrum[0] >= -RESIDUAL_TOL)
             if ppt_closed != ppt_dense:
                 violations.append({

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,13 +57,32 @@ class PtBlockSpectrum:
     zeros: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparabilityVerdict:
-    """Per-cut separability map plus the two global flags."""
+    """Every cut's B**2 plus the two global flags.
 
-    per_cut: dict[Bipartition, bool]
+    ``squared_norms[i]`` is B**2 of the i-th cut of
+    ``enumerate_bipartitions(n_parties)`` (read-only float array), and
+    ``separable`` the matching boolean array, B <= 1e-12. The
+    Bipartition-keyed map ``per_cut`` is built the first time it is read;
+    a caller that pairs the arrays with ``partitions.cut_labels`` builds
+    no Bipartition per cut.
+    """
+
+    n_parties: int
+    squared_norms: np.ndarray
     fully_separable: bool
     genuine: bool
+
+    @property
+    def separable(self) -> np.ndarray:
+        return np.sqrt(self.squared_norms) <= SEPARABILITY_TOL
+
+    @cached_property
+    def per_cut(self) -> dict[Bipartition, bool]:
+        """``{cut: separable}`` in ``enumerate_bipartitions`` order."""
+        return dict(zip(enumerate_bipartitions(self.n_parties),
+                        self.separable.tolist()))
 
 
 def _check_cut(state: WMixedState, cut: Bipartition) -> None:
@@ -163,10 +183,14 @@ def is_fully_separable(state: WMixedState) -> bool:
 def classify(state: WMixedState) -> SeparabilityVerdict:
     """Evaluate separability on every bipartition (N <= 16).
 
-    Each cut is separable iff B <= 1e-12, exactly as ``is_ppt_cut``
-    decides it; all 2**(N-1) - 1 values of B**2 come from W in one pass
-    over the party pairs. ``genuine`` means no cut is separable;
-    ``fully_separable`` is the diagonal test.
+    All 2**(N-1) - 1 values of B**2 come from W in one pass over the
+    party pairs, in ``enumerate_bipartitions`` order, and are kept on the
+    verdict as ``squared_norms``; each value is summed in the same pair
+    order as ``cross_block_norm``, so its square root equals that cut's
+    ``cross_block_norm`` bit for bit. Each cut is separable iff
+    B <= 1e-12, exactly as ``is_ppt_cut`` decides it. ``genuine`` means
+    no cut is separable; ``fully_separable`` is the diagonal test. The
+    Bipartition-keyed ``per_cut`` map is built only when read.
     """
     n = state.shape.n_parties
     if n > MAX_ENUMERATED_PARTIES:
@@ -183,12 +207,12 @@ def classify(state: WMixedState) -> SeparabilityVerdict:
             if weight[a, b]:
                 np.add(squared, weight[a, b], out=squared,
                        where=sides[a] != sides[b])
-    separable = np.sqrt(squared) <= SEPARABILITY_TOL
-    per_cut = dict(zip(enumerate_bipartitions(n), separable.tolist()))
+    squared.setflags(write=False)
     return SeparabilityVerdict(
-        per_cut=per_cut,
+        n_parties=n,
+        squared_norms=squared,
         fully_separable=is_fully_separable(state),
-        genuine=not separable.any(),
+        genuine=not (np.sqrt(squared) <= SEPARABILITY_TOL).any(),
     )
 
 

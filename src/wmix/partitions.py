@@ -111,6 +111,46 @@ def left_side_masks(n_parties: int) -> np.ndarray:
     return masks[np.lexsort((-masks, sizes))]
 
 
+def cut_labels(n_parties: int) -> list[str]:
+    """``str(cut)`` for every cut of ``enumerate_bipartitions(n_parties)``, same order.
+
+    Built from ``left_side_masks`` without a Bipartition. Each mask splits
+    into a high half (parties 1..h) and a low half (parties h+1..N); one
+    table per half, indexed by that half's bits, holds the comma-joined
+    parties it puts on either side, so a label is four table lookups.
+    The left side always holds party 1, so the low half's left parties
+    join with a leading comma; its right parties do so only when the
+    high half put a party on the right.
+    """
+    if n_parties < 2:
+        return []
+    n_low = n_parties // 2
+
+    def sides(parties):
+        """(left, right) strings for every half mask; the last party is bit 0."""
+        top = len(parties) - 1
+        rows = []
+        for half in range(1 << len(parties)):
+            bits = [half >> (top - i) & 1 for i in range(len(parties))]
+            rows.append((",".join(str(p) for p, b in zip(parties, bits) if b),
+                         ",".join(str(p) for p, b in zip(parties, bits) if not b)))
+        return rows
+
+    low_rows = sides(range(n_parties - n_low + 1, n_parties + 1))
+    low_left = ["," + left if left else "" for left, _ in low_rows]
+    low_right = [right for _, right in low_rows]
+    low_right_after = ["," + right if right else "" for right in low_right]
+    high_rows = [(left, "|" + right, low_right_after if right else low_right)
+                 for left, right in sides(range(1, n_parties - n_low + 1))]
+    low_bits = (1 << n_low) - 1
+    labels = []
+    for mask in left_side_masks(n_parties).tolist():
+        left, right, right_low = high_rows[mask >> n_low]
+        low = mask & low_bits
+        labels.append(left + low_left[low] + right + right_low[low])
+    return labels
+
+
 def parse_cut(text: str, n_parties: int) -> Bipartition:
     """Parse ``"1,2|3"`` into a Bipartition over 1..n_parties."""
     sides = text.split("|")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -42,7 +43,8 @@ def dumps_canonical(obj) -> str:
 
     Dict key order is preserved as built; floats go through
     :func:`format_float`. Unlike ``json.dumps`` this never varies float
-    spelling between platforms or runs.
+    spelling between platforms or runs. Strings and keys are quoted
+    exactly as ``json.dumps`` quotes a str under default settings.
     """
     pieces: list[str] = []
     _emit(obj, pieces)
@@ -57,7 +59,7 @@ def _emit(obj, pieces: list[str]) -> None:
     elif obj is False:
         pieces.append("false")
     elif isinstance(obj, str):
-        pieces.append(json.dumps(obj))
+        pieces.append(_quote(obj))
     elif isinstance(obj, (int, np.integer)):
         pieces.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
@@ -65,11 +67,15 @@ def _emit(obj, pieces: list[str]) -> None:
     elif isinstance(obj, dict):
         pieces.append("{")
         for i, (key, value) in enumerate(obj.items()):
-            if i:
-                pieces.append(", ")
-            pieces.append(json.dumps(str(key)))
-            pieces.append(": ")
-            _emit(value, pieces)
+            head = (", " if i else "") + _quote(str(key)) + ": "
+            # flat values, the bulk of every report, go out as one piece each
+            if isinstance(value, str):
+                pieces.append(head + _quote(value))
+            elif isinstance(value, float):
+                pieces.append(head + format_float(value))
+            else:
+                pieces.append(head)
+                _emit(value, pieces)
         pieces.append("}")
     elif isinstance(obj, (list, tuple)):
         pieces.append("[")
@@ -138,6 +144,8 @@ def dict_to_state(data):
         im = np.asarray(data.get("amp_im"), dtype=float)
         _require(re.shape == (k,) and im.shape == (k,),
                  f"amplitude vectors must have length {k}")
+        _require(np.isfinite(re).all() and np.isfinite(im).all(),
+                 "amplitude vectors must be finite")
         return make_generalized_w(re + 1j * im, shape)
 
     vacuum = data.get("vacuum")
@@ -146,6 +154,8 @@ def dict_to_state(data):
     im = np.asarray(data.get("coeff_im"), dtype=float)
     _require(re.shape == (k, k) and im.shape == (k, k),
              f"coefficient matrices must be {k}x{k}")
+    _require(np.isfinite(re).all() and np.isfinite(im).all(),
+             "coefficient matrices must be finite")
     coeff = re + 1j * im
     _require(float(np.abs(coeff - coeff.conj().T).max()) <= 1e-10,
              "coefficient matrix is not Hermitian")

@@ -3,12 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wmix
 from wmix.cli import main
+
+FIXTURE_DIR = Path(__file__).parent / "cli_fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -202,6 +205,49 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 2 and out == "" and "must be finite" in err
 
+    def test_nan_coherence_file(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "kind": "w_mixed", "n": 2, "d": 2, "vacuum": 0.0,
+            "coeff_re": [[0.5, float("nan")], [float("nan"), 0.5]],
+            "coeff_im": [[0, 0], [0, 0]]}))
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2 and out == "" and "must be finite" in err
+
+    @pytest.mark.parametrize("name, argv", [
+        # every one of the 511 bipartition negativities of a p0 > 0 state
+        ("ginibre_n10", ["--partition", "1,2,3|4,5|6,7,8|9,10",
+                         "--cut", "1,3,5,7,9|2,4,6,8,10"]),
+        # per-cut verdicts above N = 10; the separable cuts are the
+        # unions of the three blocks {1,4,7,10}, {2,5,8,11}, {3,6,9}
+        ("blocks3_n11", ["--partition", "1,4,7,10|2,5|8,11|3,6,9",
+                         "--cut", "1,4,7,10|2,3,5,6,8,9,11"]),
+    ], ids=["ginibre_n10", "blocks3_n11"])
+    def test_fixture_byte_exact(self, capsys, name, argv):
+        code, out, _ = run_cli(
+            capsys, "analyze", str(FIXTURE_DIR / f"{name}.state.json"), *argv)
+        assert code == 0
+        assert out == (FIXTURE_DIR / f"{name}.golden.json").read_text()
+
+    def test_builds_no_cut_object_per_cut(self, capsys, monkeypatch, tmp_path):
+        n = 14
+        path = tmp_path / "n14.json"
+        wmix.save_state(next(iter(wmix.random_mixed(
+            wmix.SampleConfig(n_parties=n, count=1, seed=n)))), path)
+        real = wmix.Bipartition.__post_init__
+        built = []
+
+        def counting(cut):
+            built.append(cut)
+            real(cut)
+
+        monkeypatch.setattr(wmix.Bipartition, "__post_init__", counting)
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        assert len(json.loads(out)["verdicts"]["per_cut"]) == 2 ** (n - 1) - 1
+        # the single cuts and one cut per monogamy focus, none per bipartition
+        assert len(built) <= 2 * n
+
     def test_oracle_capacity(self, capsys, tmp_path):
         path = tmp_path / "w13.json"
         wmix.save_state(wmix.as_mixed_state(wmix.make_w_state(13)), path)
@@ -239,17 +285,26 @@ class TestVerify:
     @pytest.mark.parametrize("corrupt", [False, True])
     def test_one_partial_transpose_per_cut(self, capsys, monkeypatch, corrupt):
         real = wmix.oracle.partial_transpose
+        real_norm = wmix.closed_form.cross_block_norm
         calls = []
+        norms = []
 
         def counting(op, parties):
             calls.append(parties)
             return real(op, parties)
 
+        def counting_norm(state, cut):
+            norms.append(cut)
+            return real_norm(state, cut)
+
         monkeypatch.setattr(wmix.oracle, "partial_transpose", counting)
+        monkeypatch.setattr(wmix.closed_form, "cross_block_norm", counting_norm)
         argv = ["verify", "--n", "4", "--count", "2"]
         code, out, _ = run_cli(
             capsys, *argv, *(["--self-test-corrupt"] if corrupt else []))
         assert len(calls) == 2 * 7
+        # one cross-block norm per (sample, cut) plus one per monogamy focus
+        assert len(norms) == 2 * (7 + 4)
         assert code == (1 if corrupt else 0)
         assert json.loads(out)["ok"] is not corrupt
 

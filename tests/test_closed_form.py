@@ -1,5 +1,7 @@
 """Closed-form negativities, bounds, and separability classifiers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from wmix import (
     SystemShape,
     as_mixed_state,
     classify,
+    cut_labels,
     embed_dense,
     enumerate_bipartitions,
     genuine_rank_of_pure,
@@ -237,6 +240,10 @@ class TestCutEnumeration:
         assert ([(c.left, c.right) for c in cuts]
                 == [(c.left, c.right) for c in expected])
 
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_labels_match_str(self, n):
+        assert cut_labels(n) == [str(c) for c in enumerate_bipartitions(n)]
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_classify_matches_per_cut_norms(self, n):
         rng = np.random.default_rng(n)
@@ -262,6 +269,12 @@ class TestCutEnumeration:
             assert verdict.per_cut == {
                 cut: wmix.cross_block_norm(state, cut) <= 1e-12 for cut in cuts}
             assert verdict.genuine == (not any(verdict.per_cut.values()))
+            # the array form: B**2 per cut, bitwise the per-cut norm
+            norms = [wmix.cross_block_norm(state, cut) for cut in cuts]
+            assert [math.sqrt(b2) for b2 in verdict.squared_norms.tolist()] == norms
+            assert verdict.separable.tolist() == list(verdict.per_cut.values())
+            assert [wmix.closed_form.negativity_from_block(state.vacuum_weight, b)
+                    for b in norms] == [negativity_cut(state, cut) for cut in cuts]
         for state, blocks in block_cases:
             unions = {cut for cut in cuts if all(
                 set(block) <= set(cut.left) or not set(block) & set(cut.left)
@@ -289,6 +302,17 @@ class TestClassify:
         assert verdict.fully_separable
         assert not verdict.genuine
         assert all(verdict.per_cut.values())
+
+    def test_per_cut_built_on_first_read(self, w3_mixed, monkeypatch):
+        calls = []
+        real = wmix.closed_form.enumerate_bipartitions
+        monkeypatch.setattr(wmix.closed_form, "enumerate_bipartitions",
+                            lambda n: calls.append(n) or real(n))
+        verdict = classify(w3_mixed)
+        assert calls == []
+        assert not verdict.squared_norms.flags.writeable
+        assert verdict.per_cut is verdict.per_cut
+        assert calls == [3]
 
     def test_capacity_guard(self):
         shape = SystemShape(17, 2)

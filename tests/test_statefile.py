@@ -43,6 +43,16 @@ class TestCanonicalJson:
         with pytest.raises(TypeError):
             dumps_canonical(object())
 
+    @given(st.text(alphabet=st.one_of(
+        st.characters(),
+        st.characters(categories=["Cs"]),
+        st.sampled_from(['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f",
+                         "\u2028", "\xe9", "\U0001f600"]))))
+    def test_strings_quoted_like_json_dumps(self, text):
+        assert dumps_canonical(text) == json.dumps(text)
+        assert dumps_canonical({text: 1.0}) == "{" + json.dumps(text) + ": 1}"
+        assert dumps_canonical({"k": text}) == '{"k": ' + json.dumps(text) + "}"
+
 
 class TestStateRoundTrip:
     def test_mixed_round_trip_is_exact(self, tmp_path):
@@ -130,4 +140,20 @@ class TestMalformedFiles:
             "kind": "w_mixed", "n": 2, "d": 2, "vacuum": float("nan"),
             "coeff_re": [[0.5, 0], [0, 0.5]], "coeff_im": [[0, 0], [0, 0]]})
         with pytest.raises(wmix.StateInvariantError):
+            loads_state(text)
+
+    def test_nan_coherence_reported_as_non_finite(self):
+        text = json.dumps({
+            "kind": "w_mixed", "n": 2, "d": 2, "vacuum": 0.0,
+            "coeff_re": [[0.5, float("nan")], [float("nan"), 0.5]],
+            "coeff_im": [[0, 0], [0, 0]]})
+        with pytest.raises(
+                ValueError, match="bad state file: coefficient matrices must be finite"):
+            loads_state(text)
+
+    def test_nan_amplitude_reported_as_non_finite(self):
+        text = json.dumps({"kind": "w_pure", "n": 2, "d": 2,
+                           "amp_re": [1.0, 0.0], "amp_im": [float("nan"), 0.0]})
+        with pytest.raises(
+                ValueError, match="bad state file: amplitude vectors must be finite"):
             loads_state(text)
